@@ -10,30 +10,29 @@ Runs three workload families and emits a machine-readable
   ``region_subsumes`` throughput on a compiled guard (the actor loop's
   hot operations);
 * **end-to-end** -- SC1's N=16 merged travel instances on the
-  distributed scheduler (raw fabric, plus the announcement-batching
-  variant when the scheduler supports it) and an SC5-style chaos run
-  (reliable sessions, drop/dup, one crash/restart);
-* **scale-out** (PF2/SC6, when :mod:`repro.scale` is available) --
-  template-instantiated guard synthesis vs per-instance synthesis at
-  N=64 (required: >= 5x), and the N=64 workload sharded 4 ways on the
-  process-pool runner vs one merged scheduler (required: sharded
-  wall-clock wins; on a single-core host the win comes from dodging
-  the merged scheduler's superlinear settlement scan, not from
-  parallelism);
-* **cross-shard** (SC7, when :mod:`repro.scale.engine` is available)
-  -- the Example 13 mutex family at N in {64, 256}, merged vs min-cut
-  sharded (required: the N=256 min-cut run wins), round-robin with
-  gateway routing, and a skewed layout with and without work stealing
-  (required: stealing wins over the skew it rebalances);
-* **compiled guards** (PF4, when the scheduler supports
-  ``compiled_guards=``) -- per-announcement guard-eval cost of the
-  cube engine (``simplify_under`` with its ``O(|K| log |K|)`` memo-key
-  build) vs the compiled automaton cursor (one interned edge hop) at
-  fan-in n in {10, 100} (required: compiled >= 3x cheaper per
-  announcement at fan-in 100), plus the four-way ablation
-  cube / watch / compiled / watch+compiled on a mixed parked+coupled
-  workload (required: identical observables across arms, and
-  watch+compiled the best arm at n=100).
+  distributed scheduler and an SC5-style chaos run (reliable
+  sessions, drop/dup, one crash/restart);
+* **scale-out** (PF2/SC6) -- template-instantiated guard synthesis vs
+  per-instance synthesis at N=64 (required: >= 5x), and the N=64
+  workload sharded 4 ways on the process-pool runner vs one merged
+  scheduler (required: sharded wall-clock wins; on a single-core host
+  the win comes from dodging the merged scheduler's superlinear
+  settlement scan, not from parallelism);
+* **cross-shard** (SC7) -- the Example 13 mutex family at N in
+  {64, 256}, merged vs min-cut sharded (required: the N=256 min-cut
+  run wins), round-robin with gateway routing, and a skewed layout
+  with and without work stealing (required: stealing wins over the
+  skew it rebalances);
+* **watched evaluation** (PF3) -- the scheduler's announce phase over
+  n in {10, 100, 1000} parked guards that no longer mention the
+  announced bases (required: no guard is woken, every delivery is a
+  skip);
+* **compiled guards** (PF4) -- per-announcement guard-eval cost of
+  the cube algebra (``simplify_under`` with its ``O(|K| log |K|)``
+  memo-key build) vs the compiled automaton cursor (one interned edge
+  hop) at fan-in n in {10, 100} (required: compiled >= 3x cheaper per
+  announcement at fan-in 100), plus the scheduler's guard engine on a
+  mixed parked+coupled workload.
 
 Timings are reported both raw and *normalized* by a pure-Python
 calibration spin, so a checked-in baseline from one machine can gate
@@ -57,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import inspect
 import json
 import os
 import random
@@ -218,16 +216,8 @@ def bench_guard_eval(evals: int, rounds: int) -> dict:
     return result
 
 
-def _supports_batching() -> bool:
-    params = inspect.signature(DistributedScheduler.__init__).parameters
-    return "batch_announcements" in params
-
-
-def _run_sc1(count: int, batch: bool) -> tuple[float, object, object]:
+def _run_sc1(count: int) -> tuple[float, object, object]:
     workflow, scripts = merged_travel_instances(count)
-    kwargs = {}
-    if batch:
-        kwargs["batch_announcements"] = True
     start = time.perf_counter()
     sched = DistributedScheduler(
         workflow.dependencies,
@@ -235,7 +225,6 @@ def _run_sc1(count: int, batch: bool) -> tuple[float, object, object]:
         attributes=workflow.attributes,
         latency=ConstantLatency(1.0),
         rng=random.Random(1),
-        **kwargs,
     )
     result = sched.run(scripts)
     elapsed = time.perf_counter() - start
@@ -248,7 +237,7 @@ def bench_end_to_end(rounds: int) -> dict:
     best = float("inf")
     result = None
     for _ in range(rounds):
-        elapsed, result, _sched = _run_sc1(16, batch=False)
+        elapsed, result, _sched = _run_sc1(16)
         best = min(best, elapsed)
     out["sc1_n16"] = {
         "seconds": best,
@@ -257,44 +246,7 @@ def bench_end_to_end(rounds: int) -> dict:
         "announce_messages": result.messages_by_kind.get("announce", 0),
         "settled": len(result.entries),
     }
-    if _supports_batching():
-        best = float("inf")
-        for _ in range(rounds):
-            elapsed, bresult, _sched = _run_sc1(16, batch=True)
-            best = min(best, elapsed)
-        out["sc1_n16_batched"] = {
-            "seconds": best,
-            "makespan": bresult.makespan,
-            "messages": bresult.messages,
-            "announce_messages": bresult.messages_by_kind.get("announce", 0),
-            "settled": len(bresult.entries),
-        }
-        # batching must not change what happened, only how many
-        # envelopes carried it
-        assert bresult.makespan == result.makespan, (
-            bresult.makespan, result.makespan)
-        assert [
-            (repr(e.event), e.time) for e in bresult.entries
-        ] == [(repr(e.event), e.time) for e in result.entries]
-        assert bresult.messages < result.messages, (
-            "announcement batching did not reduce the SC1 message count: "
-            f"{bresult.messages} vs {result.messages}"
-        )
     return out
-
-
-def _supports_watching() -> bool:
-    params = inspect.signature(DistributedScheduler.__init__).parameters
-    return "watch_mode" in params
-
-
-def _supports_sharding() -> bool:
-    try:
-        import repro.scale  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
 
 
 def bench_template_synthesis(rounds: int) -> dict:
@@ -357,7 +309,7 @@ def bench_scale_out(rounds: int) -> dict:
     merged_best = float("inf")
     merged_result = None
     for _ in range(rounds):
-        elapsed, merged_result, _sched = _run_sc1(64, batch=False)
+        elapsed, merged_result, _sched = _run_sc1(64)
         merged_best = min(merged_best, elapsed)
     out["sc1_n64"] = {
         "seconds": merged_best,
@@ -402,16 +354,6 @@ def bench_scale_out(rounds: int) -> dict:
         f"single scheduler: {sharded_best:.3f}s vs {merged_best:.3f}s"
     )
     return out
-
-
-def _supports_cross_shard() -> bool:
-    try:
-        from repro.scale.engine import run_group  # noqa: F401
-        from repro.workloads.scenarios import make_mutex_family  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
 
 
 def bench_scale_mutex(rounds: int) -> dict:
@@ -548,7 +490,7 @@ def bench_scale_mutex(rounds: int) -> dict:
     return out
 
 
-def _pf3_run(n: int, hubs: int, watch: bool):
+def _pf3_run(n: int, hubs: int):
     """The PF3 workload: ``n`` parked guards that have already stopped
     caring about the ``hubs`` shared bases.
 
@@ -556,8 +498,8 @@ def _pf3_run(n: int, hubs: int, watch: bool):
     actors subscribe to the hub bases, but once ``~kill`` settles the
     first cube is dead and each residual only mentions the private
     ``g_i`` (which never settles, so everyone stays parked).  The
-    measured phase then announces the hubs one by one: the naive
-    engine re-evaluates all ``n`` parked guards per announcement, the
+    measured phase then announces the hubs one by one: a naive engine
+    would re-evaluate all ``n`` parked guards per announcement, the
     watched engine skips them all.  Returns the announce-phase wall
     time and the deterministic observables.
     """
@@ -582,7 +524,6 @@ def _pf3_run(n: int, hubs: int, watch: bool):
         guards=guards,
         latency=ConstantLatency(1.0),
         rng=random.Random(3),
-        watch_mode=watch,
     )
     for f_i in parked:
         sched.attempt(f_i)
@@ -603,70 +544,35 @@ def _pf3_run(n: int, hubs: int, watch: bool):
         "messages": sched.network.stats.messages,
         "wakes": sched.watch.wakes - wakes_before,
         "skips": sched.watch.skips - skips_before,
-        "timeline": [(repr(e.event), e.time) for e in sched.result.entries],
     }
 
 
 def bench_watch_scaling(rounds: int) -> dict:
     """PF3: per-announcement assimilation cost vs parked-event count.
 
-    The ROADMAP item the watch index closes is "assimilation cost
-    grows linearly with the number of parked events": the naive engine
-    re-evaluates every parked guard per announcement (``evals ==
-    n``/announcement), the watched engine re-evaluates none (flat 0 --
-    every residual dropped the hub bases), which the deterministic
-    wake/skip counters witness exactly.  Wall-clock shows the same win
-    as a constant-factor speedup per delivery; the announcement
-    *fan-out* is deliberately identical in both engines (same
-    messages, same rng stream -- that is what lets the differential
-    harness fuzz drop/dup/crash schedules), so pure wall time still
-    contains the linear per-message fabric cost in both columns.
-    Also asserts the two engines settle the identical timeline (the
-    cheap always-on shadow of tests/properties/
-    test_watch_equivalence.py).
+    The ROADMAP item the watch index closed was "assimilation cost
+    grows linearly with the number of parked events".  The
+    deterministic witness is exact: the announce phase re-evaluates no
+    guard at any n (every residual dropped the hub bases), and every
+    delivery takes the skip path.  The announcement *fan-out* is still
+    linear in n (same messages, same rng stream as a naive engine --
+    that is what lets the differential harness fuzz drop/dup/crash
+    schedules), so wall time keeps the per-message fabric cost.
     """
     hubs = 8
     out: dict[str, dict] = {}
-    speedup_at: dict[int, float] = {}
     for n in (10, 100, 1000):
-        watched_best = naive_best = float("inf")
-        watched = naive = None
+        best = None
         for _ in range(rounds):
-            record = _pf3_run(n, hubs, watch=True)
-            if record["seconds"] < watched_best:
-                watched_best, watched = record["seconds"], record
-            record = _pf3_run(n, hubs, watch=False)
-            if record["seconds"] < naive_best:
-                naive_best, naive = record["seconds"], record
-        assert watched["timeline"] == naive["timeline"], (
-            f"watched/naive timelines diverge at n={n}"
-        )
-        assert watched["messages"] == naive["messages"]
-        # the flat-cost witness: the watched announce phase re-evaluates
-        # no guard at any n, the naive one re-evaluates all n per
-        # announcement
-        assert watched["wakes"] == 0, watched
-        assert watched["skips"] == n * hubs, watched
-        assert naive["wakes"] == n * hubs, naive
-        speedup_at[n] = naive["seconds"] / watched["seconds"]
-        for name, record in (("watch", watched), ("naive", naive)):
-            record = dict(record)
-            del record["timeline"]
-            record["per_announcement"] = record["seconds"] / hubs
-            record["evals_per_announcement"] = record["wakes"] // hubs
-            out[f"pf3_{name}_n{n}"] = record
-    # the speedup must be real where it matters: at 100x the parked
-    # population the watched engine wins clearly on wall clock too
-    assert speedup_at[1000] > 1.5, (
-        "watched announce phase must beat naive at n=1000: "
-        f"speedups {speedup_at}"
-    )
+            record = _pf3_run(n, hubs)
+            if best is None or record["seconds"] < best["seconds"]:
+                best = record
+        assert best["wakes"] == 0, best
+        assert best["skips"] == n * hubs, best
+        best["per_announcement"] = best["seconds"] / hubs
+        best["evals_per_announcement"] = best["wakes"] // hubs
+        out[f"pf3_watch_n{n}"] = best
     return out
-
-
-def _supports_compiled() -> bool:
-    params = inspect.signature(DistributedScheduler.__init__).parameters
-    return "compiled_guards" in params
 
 
 def bench_compiled_eval(evals: int, rounds: int) -> dict:
@@ -754,21 +660,18 @@ def bench_compiled_eval(evals: int, rounds: int) -> dict:
     return out
 
 
-def _pf4_run(n: int, hubs: int, watch: bool, compiled, engine=None) -> dict:
-    """The PF4 ablation workload: ``2n`` parked actors that dropped
-    the hub bases (the watch index's win -- their wake sets are stable,
-    so skipping them is churn-free) plus a hot frontier of ``n // 2``
+def _pf4_run(n: int, hubs: int, engine) -> dict:
+    """The PF4 workload: ``2n`` parked actors that dropped the hub
+    bases (the watch index's win -- their wake sets are stable, so
+    skipping them is churn-free) plus a hot frontier of ``n // 2``
     coupled actors whose guards keep every hub relevant (the compiled
     automaton's win -- their residuals shrink on every announcement,
     which is exactly where ``simplify_under`` is expensive and where
     watching alone cannot help).
 
-    Per hub announcement the cube engine re-evaluates every unsettled
-    guard with ``simplify_under``; watching skips the parked
-    population; compilation turns each remaining re-evaluation into
-    O(1) edge hops; watch+compiled does the least work of all four
-    arms.  The announcement fan-out is identical in every arm (same
-    messages, same rng stream), so all four settle the same timeline.
+    Per hub announcement the scheduler's engine skips the parked
+    population and turns each remaining re-evaluation into O(1) edge
+    hops on the shared ``engine``.
     """
     from repro.temporal.cubes import TRUE_GUARD, literal
 
@@ -791,18 +694,12 @@ def _pf4_run(n: int, hubs: int, watch: bool, compiled, engine=None) -> dict:
         waiting.append(c_i)
     for h in hub_events:
         guards[h] = TRUE_GUARD  # fires on attempt
-    kwargs = {"watch_mode": watch}
-    if compiled:
-        # a shared engine keeps the automata interned across rounds --
-        # the steady state the cube arms get for free from the
-        # process-wide simplify_under memo table
-        kwargs["compiled_guards"] = engine if engine is not None else True
     sched = DistributedScheduler(
         [],
         guards=guards,
         latency=ConstantLatency(1.0),
         rng=random.Random(3),
-        **kwargs,
+        guard_engine=engine,
     )
     for ev in waiting:
         sched.attempt(ev)
@@ -811,7 +708,7 @@ def _pf4_run(n: int, hubs: int, watch: bool, compiled, engine=None) -> dict:
     sched.sim.run()
     wakes_before = sched.watch.wakes
     skips_before = sched.watch.skips
-    hops_before = sched.compiled.counts()["hops"] if compiled else 0
+    hops_before = engine.counts()["hops"]
     # the measured phase is a few ms; a collection triggered by an
     # earlier workload's garbage landing inside it would swamp the
     # arm-to-arm margins
@@ -828,87 +725,43 @@ def _pf4_run(n: int, hubs: int, watch: bool, compiled, engine=None) -> dict:
         "messages": sched.network.stats.messages,
         "wakes": sched.watch.wakes - wakes_before,
         "skips": sched.watch.skips - skips_before,
-        "timeline": [(repr(e.event), e.time) for e in sched.result.entries],
+        "hops": engine.counts()["hops"] - hops_before,
     }
-    if compiled:
-        record["hops"] = sched.compiled.counts()["hops"] - hops_before
-        assert record["hops"] > 0, record
+    assert record["hops"] > 0, record
     return record
 
 
-def bench_compiled_ablation(rounds: int) -> dict:
-    """PF4: the four-way cube / watch / compiled / watch+compiled
-    ablation on the mixed parked+coupled workload of :func:`_pf4_run`.
+def bench_compiled_engine(rounds: int) -> dict:
+    """PF4: the scheduler's guard engine on the mixed parked+coupled
+    workload of :func:`_pf4_run`.
 
-    The deterministic witnesses: all four arms settle the identical
-    timeline with identical message counts (receiver-side design --
-    that is what lets the differential harness fuzz fault schedules
-    across arms), the watch arms re-evaluate strictly fewer guards,
-    and the compiled arms report automaton edge hops.  On wall clock,
-    watch+compiled is required to be the best arm at n=100.
+    The deterministic witnesses: the parked population is skipped
+    (every delivery to it is a skip, never a wake) and the coupled
+    frontier is served by automaton edge hops.
     """
     from repro.temporal.compiled import CompiledGuardEngine
 
-    # the best-arm assertion compares ~20% wall-clock margins, so keep
-    # enough repetitions for a stable minimum even in --quick mode
+    # a few-ms measured phase: keep enough repetitions for a stable
+    # minimum even in --quick mode
     rounds = max(rounds, 5)
     hubs = 8
-    arms = (
-        ("cube", False, False),
-        ("watch", True, False),
-        ("compiled", False, True),
-        ("watch_compiled", True, True),
-    )
     out: dict[str, dict] = {}
     for n in (10, 100):
-        # one engine per size: both compiled arms (and every round)
-        # share the interned automata, so best-of measures the warm
-        # steady state on all four arms
+        # one engine per size, shared by every round: one discarded
+        # warm-up run, then the timed rounds walk fully interned
+        # automata (which also pins the hop counter -- a cold round
+        # books expansions instead of hops)
         engine = CompiledGuardEngine()
-        best: dict[str, dict] = {}
-        for name, watch, compiled in arms:
-            # one discarded warm-up run per arm: the timed rounds then
-            # walk fully interned automata, which also pins the hop
-            # counter (a cold round books expansions instead of hops)
-            _pf4_run(n, hubs, watch=watch, compiled=compiled, engine=engine)
-            for _ in range(rounds):
-                record = _pf4_run(
-                    n, hubs, watch=watch, compiled=compiled, engine=engine
-                )
-                if (
-                    name not in best
-                    or record["seconds"] < best[name]["seconds"]
-                ):
-                    best[name] = record
-        reference = best["cube"]
-        for name, record in best.items():
-            assert record["timeline"] == reference["timeline"], (
-                f"pf4 arm {name} settled a different timeline at n={n}"
-            )
-            assert record["messages"] == reference["messages"], (
-                f"pf4 arm {name} changed the message count at n={n}"
-            )
-        # watching must skip the parked population in both watch arms
-        for name in ("watch", "watch_compiled"):
-            assert best[name]["wakes"] < reference["wakes"], (n, name)
-            assert best[name]["skips"] > 0, (n, name)
-        if n == 100:
-            others = {
-                name: record["seconds"]
-                for name, record in best.items()
-                if name != "watch_compiled"
-            }
-            assert best["watch_compiled"]["seconds"] < min(others.values()), (
-                "watch+compiled is required to be the best PF4 arm at "
-                f"n=100: {best['watch_compiled']['seconds']:.4f}s vs "
-                f"{others}"
-            )
-        for name, record in best.items():
-            record = dict(record)
-            del record["timeline"]
-            record["per_announcement"] = record["seconds"] / hubs
-            record["evals_per_announcement"] = record["wakes"] // hubs
-            out[f"pf4_{name}_n{n}"] = record
+        _pf4_run(n, hubs, engine)
+        best = None
+        for _ in range(rounds):
+            record = _pf4_run(n, hubs, engine)
+            if best is None or record["seconds"] < best["seconds"]:
+                best = record
+        assert best["skips"] == 2 * n * hubs, (n, best)
+        best["per_announcement"] = best["seconds"] / hubs
+        best["evals_per_announcement"] = best["wakes"] // hubs
+        out[f"pf4_watch_compiled_n{n}"] = best
     return out
 
 
@@ -952,39 +805,21 @@ def collect(quick: bool) -> dict:
     workloads.update(bench_synthesis(rounds))
     workloads.update(bench_guard_eval(evals, rounds))
     workloads.update(bench_end_to_end(rounds))
-    if _supports_sharding():
-        workloads.update(bench_template_synthesis(rounds))
-        workloads.update(bench_scale_out(rounds))
-    if _supports_cross_shard():
-        workloads.update(bench_scale_mutex(rounds))
-    if _supports_watching():
-        workloads.update(bench_watch_scaling(rounds))
-    if _supports_compiled():
-        workloads.update(bench_compiled_eval(evals, rounds))
-        workloads.update(bench_compiled_ablation(rounds))
+    workloads.update(bench_template_synthesis(rounds))
+    workloads.update(bench_scale_out(rounds))
+    workloads.update(bench_scale_mutex(rounds))
+    workloads.update(bench_watch_scaling(rounds))
+    workloads.update(bench_compiled_eval(evals, rounds))
+    workloads.update(bench_compiled_engine(rounds))
     workloads.update(bench_chaos(rounds))
     for record in workloads.values():
         if "seconds" in record:
             record["normalized"] = record["seconds"] / calibration
-    features = {
-        "batching": _supports_batching(),
-        "sharding": _supports_sharding(),
-        "watching": _supports_watching(),
-        "cross_shard": _supports_cross_shard(),
-        "compiled": _supports_compiled(),
-    }
-    try:
-        from repro.algebra.expressions import intern_stats  # noqa: F401
-
-        features["interning"] = True
-    except ImportError:
-        features["interning"] = False
     return {
         "schema": SCHEMA,
         "quick": quick,
         "calibration_seconds": calibration,
         "workloads": workloads,
-        "features": features,
     }
 
 

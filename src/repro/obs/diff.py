@@ -1,8 +1,8 @@
 """Causal trace diffing and divergence localization (``repro diff``).
 
-The repo's correctness story leans on differential execution: watched
-vs naive guard engines, batched vs unbatched delivery, sharded vs
-merged runs -- all demand decision-identical traces.  When two runs
+The repo's correctness story leans on differential execution: the
+guard engine vs its ``simplify_under`` reference, sharded vs merged
+runs -- all demand decision-identical traces.  When two runs
 *do* diverge, a raw equality assert over thousands of records says
 nothing about *where* or *why*.  This module aligns two trace record
 streams causally and answers both questions:

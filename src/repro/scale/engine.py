@@ -224,11 +224,9 @@ def _build_member(
         rng=random.Random(task.seed),
         guards=guards,
         reliable=task.reliable,
-        batch_announcements=task.batch_announcements,
         tracer=tracer,
         profiler=profiler,
         sample_every=task.sample_every,
-        compiled_guards=task.compiled_guards,
         sim=sim,
         owned=owned,
         cross_dependencies=cross,

@@ -145,14 +145,11 @@ class ShardTask:
     sites: tuple[tuple[str, str], ...]
     instances: tuple[InstanceSpec, ...]
     reliable: bool = False
-    batch_announcements: bool = False
     trace: bool = False
     settle: bool = True
     latency: float | None = None  # constant per-hop latency, None = default
     profile: bool = False
     sample_every: float | None = None
-    #: run the shard's scheduler on the compiled guard automata
-    compiled_guards: bool = False
     #: flight-recorder mode: bound the shard's tracer to a ring of this
     #: many records (implies tracing); the merged trace carries one
     #: window header per shard
@@ -262,13 +259,11 @@ def plan_shards(
     *,
     seed: int = 0,
     reliable: bool = False,
-    batch_announcements: bool = False,
     trace: bool = False,
     settle: bool = True,
     latency: float | None = None,
     profile: bool = False,
     sample_every: float | None = None,
-    compiled_guards: bool = False,
     placement: str = "round_robin",
     cross_deps: Sequence = (),
     assignment: Sequence[Sequence[int]] | None = None,
@@ -390,13 +385,11 @@ def plan_shards(
                 instances[index] for index in partition.assignment[shard]
             ),
             reliable=reliable,
-            batch_announcements=batch_announcements,
             trace=trace,
             settle=settle,
             latency=latency,
             profile=profile,
             sample_every=sample_every,
-            compiled_guards=compiled_guards,
             cross_dependencies=tuple(per_shard_cross[shard]),
             cross_drop=cross_drop_probability,
             cross_dup=cross_duplicate_probability,
@@ -446,11 +439,9 @@ def _run_shard(task: ShardTask) -> ShardOutcome:
         rng=random.Random(task.seed),
         guards=guards,
         reliable=task.reliable,
-        batch_announcements=task.batch_announcements,
         tracer=tracer,
         profiler=profiler,
         sample_every=task.sample_every,
-        compiled_guards=task.compiled_guards,
         cross_dependencies=[
             parse(text) for text in task.cross_dependencies
         ],

@@ -101,12 +101,11 @@ class EventActor:
         self.status = ActorStatus.IDLE
         self.attempted_at: float | None = None
         self.knowledge: dict[Event, int] = {}
-        #: compiled-guard cursor (one pointer into the scheduler's
-        #: interned automaton); ``None`` runs the cube engine.  The
-        #: ``getattr`` covers every construction site -- schedulers
-        #: without the feature simply have no ``compiled`` attribute.
-        engine = getattr(scheduler, "compiled", None)
-        self.cursor = engine.cursor(guard) if engine is not None else None
+        #: this actor's state in the scheduler's guard engine: one
+        #: pointer into the interned automaton
+        #: (:mod:`repro.temporal.compiled`), tracking ``guard`` and
+        #: ``knowledge`` move for move
+        self.cursor = scheduler.guard_engine.cursor(guard)
         # -- own not-yet round --
         self.round_active = False
         self.round_id = 0  # scheduler-issued; replies echo it
@@ -143,15 +142,23 @@ class EventActor:
         that justified the refinement; they are recorded only when a
         provenance log is attached (``sched.provenance.active``), so
         the default path pays one attribute read and a branch."""
+        if self._commit(base, mask, source, origin):
+            self.cursor.learn(base, self.knowledge[base])
+
+    def _commit(
+        self, base: Event, mask: int, source: str | None, origin: Event | None
+    ) -> bool:
+        """Record the tightened mask (and its provenance) without
+        moving the cursor; True when the knowledge changed."""
         current = self.knowledge.get(base, FULL)
         updated = current & mask
-        if updated != current:
-            self.knowledge[base] = updated
-            self._knowledge_dirty = True
-            if self.cursor is not None:
-                self.cursor.learn(base, updated)
-            if self.sched.provenance.active:
-                self.sched.provenance.learned(self, base, mask, source, origin)
+        if updated == current:
+            return False
+        self.knowledge[base] = updated
+        self._knowledge_dirty = True
+        if self.sched.provenance.active:
+            self.sched.provenance.learned(self, base, mask, source, origin)
+        return True
 
     def observe_occurrence(self, event: Event) -> None:
         """Assimilate a ``[]`` announcement (the Section 4.3 proof rules)."""
@@ -173,27 +180,22 @@ class EventActor:
 
     def _assimilate(self) -> None:
         """Advance the residual past ``simplify_under``: a pointer hop
-        on the compiled automaton, a cube rewrite otherwise.  The
-        compiled residual equals the cube one value for value (the
-        node caches the very ``simplify_under`` result it replaces)."""
-        if self.cursor is not None:
-            self.guard = self.cursor.assimilate()
-        else:
-            self.guard = self.guard.simplify_under(self.knowledge)
+        on the automaton, whose node caches the very ``simplify_under``
+        result the cube algebra would compute."""
+        self.guard = self.cursor.assimilate()
 
     def note_occurrence(self, event: Event) -> None:
         """The watched-evaluation skip path: record the announced fact
         without re-evaluating the guard.
 
-        Identical ``learn`` call to :meth:`observe_occurrence`, so
-        knowledge and provenance stay byte-for-byte equal to the naive
-        engine's; the scheduler only routes here when its watch index
-        proves the skipped re-evaluation would have been a no-op (the
-        base is outside the reduced residual's support and no pending
-        protocol action is armed)."""
-        self.learn(
-            event.base, C_OCC if event.negated else E_OCC,
-            source="announce", origin=event,
+        Knowledge and provenance change exactly as in
+        :meth:`observe_occurrence`.  The cursor is left where it is:
+        the scheduler routes here only when the base lies outside the
+        current node's watch set, and a node watches either everything
+        or exactly its residual's bases -- so the skipped learn edge
+        is a self-loop, and so is the skipped assimilation."""
+        self._commit(
+            event.base, C_OCC if event.negated else E_OCC, "announce", event
         )
 
     def solicit_would_act(self) -> bool:
@@ -242,16 +244,7 @@ class EventActor:
         cube structure changed.
         """
         self._durable_guard = self._durable_guard & extra
-        if self.cursor is not None:
-            # incremental recompile: re-enter the automaton at the
-            # strengthened guard, then assimilate as the cube engine does
-            self.cursor.reset(self.guard & extra, self.knowledge)
-            self.guard = self.cursor.assimilate()
-        else:
-            self.guard = (self.guard & extra).simplify_under(self.knowledge)
-        self._escalated_cubes = set()
-        self._knowledge_dirty = True
-        self.try_fire()
+        self._reenter(self.guard & extra)
 
     def replace_guard(self, new_guard: GuardExpr) -> None:
         """Install a recomputed guard (dependency removed at run time).
@@ -262,11 +255,15 @@ class EventActor:
         already be in flight).
         """
         self._durable_guard = new_guard
-        if self.cursor is not None:
-            self.cursor.reset(new_guard, self.knowledge)
-            self.guard = self.cursor.assimilate()
-        else:
-            self.guard = new_guard.simplify_under(self.knowledge)
+        self._reenter(new_guard)
+
+    def _reenter(self, guard: GuardExpr) -> None:
+        """Incremental recompile: re-enter the automaton at ``guard``,
+        assimilate everything already known, and re-examine a pending
+        attempt (the escalation bookkeeping is reset, since the cube
+        structure changed)."""
+        self.cursor.reset(guard, self.knowledge)
+        self.guard = self.cursor.assimilate()
         self._escalated_cubes = set()
         self._knowledge_dirty = True
         self.try_fire()
@@ -296,7 +293,7 @@ class EventActor:
             return
         if self.sched.is_frozen(self.event.base, exclude=self.event):
             return  # some requester holds a certificate on our base
-        verdict = self._evaluate_guard(self.knowledge)
+        verdict = self._evaluate_guard()
         if verdict == "fire":
             self._fire()
             return
@@ -311,37 +308,25 @@ class EventActor:
         self.sched.note_parked(self.event)
         self._solicit()
 
-    def _evaluate_guard(self, knowledge: dict[Event, int]) -> str:
-        """Decide fire/park/never for the residual guard under
-        ``knowledge`` (Section 4.3's evaluation rule), optionally
-        timed, traced, and profiled.  The untraced, unprofiled path
-        computes nothing extra beyond the evaluation counter."""
+    def _evaluate_guard(self) -> str:
+        """Decide fire/park/never for the residual guard under current
+        knowledge (Section 4.3's evaluation rule, cached on the
+        cursor's node), optionally timed, traced, and profiled.  The
+        untraced, unprofiled path computes nothing extra beyond the
+        evaluation counter."""
         sched = self.sched
         sched.metrics.inc("guard_evals", site=self.site)
         timed = sched.tracer.active or sched.metrics.timed
         profiled = sched.profiler.active
         if not timed and not profiled:
-            if self.cursor is not None:
-                return self.cursor.verdict()
-            if self.guard.region_subsumes(knowledge):
-                return "fire"
-            if not self.guard.possible_under(knowledge):
-                return "never"
-            return "park"
+            return self.cursor.verdict()
         if profiled:
             sched.profiler.push(
                 "guard_eval", site=self.site, event=self.event_label
             )
         try:
             start = time.perf_counter()
-            if self.cursor is not None:
-                verdict = self.cursor.verdict()
-            elif self.guard.region_subsumes(knowledge):
-                verdict = "fire"
-            elif not self.guard.possible_under(knowledge):
-                verdict = "never"
-            else:
-                verdict = "park"
+            verdict = self.cursor.verdict()
             elapsed = time.perf_counter() - start
         finally:
             if profiled:
@@ -354,7 +339,7 @@ class EventActor:
                 guard=self._durable_guard, residual=self.guard,
                 verdict=verdict, elapsed=elapsed,
                 cubes=self._structured_cubes(),
-                knowledge=self._structured_knowledge(knowledge),
+                knowledge=self._structured_knowledge(self.knowledge),
             )
         return verdict
 
@@ -757,17 +742,23 @@ class EventActor:
             self._conclude_round()
 
     def _conclude_round(self) -> None:
-        transient = dict(self.knowledge)
-        for base in self.round_certified:
-            transient[base] = transient.get(base, FULL) & NOT_YET_MASK
+        # the certificates' transient facts are evaluated along the
+        # cursor's refinement edges without moving it: they exist only
+        # for this evaluation and are never committed
+        certified = sorted(self.round_certified, key=Event.sort_key)
         if (
             self.status is ActorStatus.PENDING
             and not self.sched.is_frozen(self.event.base, exclude=self.event)
-            and self._subsumed_under_transient(transient)
+            and self.cursor.transient_verdict(
+                (base, NOT_YET_MASK) for base in certified
+            ) == "fire"
         ):
             if self.sched.tracer.active:
                 # the certificate-backed evaluation justifying this
                 # firing: the transient facts exist only in this instant
+                transient = dict(self.knowledge)
+                for base in certified:
+                    transient[base] = transient.get(base, FULL) & NOT_YET_MASK
                 self.sched.tracer.guard_eval(
                     self.sched.sim.now, self.site, self.event,
                     guard=self._durable_guard, residual=self.guard,
@@ -782,18 +773,6 @@ class EventActor:
             return
         self._finish_round(fired=False)
         self.try_fire()
-
-    def _subsumed_under_transient(self, transient: dict[Event, int]) -> bool:
-        """Does the residual fire under knowledge plus this round's
-        certificate facts?  Compiled cursors descend along refinement
-        edges without moving -- the transient facts exist only for
-        this evaluation and are never committed."""
-        if self.cursor is not None:
-            return self.cursor.transient_verdict(
-                (base, NOT_YET_MASK)
-                for base in sorted(self.round_certified, key=Event.sort_key)
-            ) == "fire"
-        return self.guard.region_subsumes(transient)
 
     def _finish_round(self, fired: bool) -> None:
         if not self.round_active and not self.round_holds:
@@ -914,11 +893,10 @@ class EventActor:
         """
         self.guard = self._durable_guard
         self.knowledge = {}
-        if self.cursor is not None:
-            # resurrection re-enters the automaton at the durable
-            # guard's root -- the same interned node every fresh
-            # instance of this guard starts from
-            self.cursor.reset(self._durable_guard, self.knowledge)
+        # resurrection re-enters the automaton at the durable guard's
+        # root -- the same interned node every fresh instance of this
+        # guard starts from
+        self.cursor.reset(self._durable_guard, self.knowledge)
         self.round_active = False
         self.round_id = 0
         self.round_awaiting = set()

@@ -59,12 +59,12 @@ from repro.obs.tracer import NULL_TRACER
 from repro.scheduler.monitors import RequirementMonitor
 from repro.sim.clock import Simulator
 from repro.sim.faults import ChaosReport, FaultInjector, FaultPlan
-from repro.sim.network import BatchingChannel, LatencyModel, Network
+from repro.sim.network import LatencyModel, Network
 from repro.sim.reliable import ReliableNetwork
 from repro.temporal.compiled import CompiledGuardEngine
 from repro.temporal.cubes import GuardExpr
 from repro.temporal.guards import guard_and, guard_table, workflow_guards
-from repro.temporal.watch import ALL, WatchIndex, watch_bases
+from repro.temporal.watch import ALL, WatchIndex
 
 _DEFAULT_ATTRS = EventAttributes()
 
@@ -94,12 +94,15 @@ class DistributedScheduler:
         when the run starts.
     retransmit_timeout / max_retries:
         Session-layer tuning, forwarded to :class:`ReliableNetwork`.
-    batch_announcements:
-        Coalesce the announcement fan-out: announcements issued to the
-        same site within one virtual instant travel as a single
-        envelope (:class:`~repro.sim.network.BatchingChannel`).  Off
-        by default; purely a message-count optimization -- the settled
-        timeline is unchanged.
+    guard_engine:
+        Where every actor's guard is evaluated: one cursor per actor,
+        asked for fire/park/never, the assimilated residual, and the
+        wake set the watch index registers.  Defaults to a private
+        :class:`~repro.temporal.compiled.CompiledGuardEngine`; pass one
+        to share interned automata across schedulers (the template
+        "compile once, stamp instances" path).  Any object with the
+        same ``cursor``/``counts`` interface can stand in -- the
+        differential tests substitute a ``simplify_under`` reference.
     tracer:
         A :class:`repro.obs.Tracer` to record the run as a causal
         Lamport-stamped event trace.  Defaults to the inert
@@ -147,9 +150,7 @@ class DistributedScheduler:
         fault_plan: FaultPlan | None = None,
         retransmit_timeout: float = 4.0,
         max_retries: int = 20,
-        batch_announcements: bool = False,
-        watch_mode: bool = True,
-        compiled_guards: bool | CompiledGuardEngine = False,
+        guard_engine: CompiledGuardEngine | None = None,
         tracer=None,
         metrics: MetricsRegistry | None = None,
         provenance: bool | None = None,
@@ -167,16 +168,11 @@ class DistributedScheduler:
         )
         self.gateway = gateway
         self.policy = policy or SchedulerPolicy()
-        #: compiled-guard automaton store; must exist before any actor
-        #: is constructed (``EventActor.__init__`` attaches a cursor
-        #: when the scheduler carries an engine).  ``compiled_guards``
-        #: may be a :class:`CompiledGuardEngine` to share interned
-        #: automata across schedulers (the template "compile once,
-        #: stamp instances" path), or ``True`` for a private engine.
-        if isinstance(compiled_guards, CompiledGuardEngine):
-            self.compiled = compiled_guards
-        else:
-            self.compiled = CompiledGuardEngine() if compiled_guards else None
+        #: must exist before any actor is constructed: each
+        #: ``EventActor`` takes its cursor from it
+        self.guard_engine = (
+            guard_engine if guard_engine is not None else CompiledGuardEngine()
+        )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: span profiler with hierarchical phase attribution; the inert
@@ -215,10 +211,6 @@ class DistributedScheduler:
             if reliable
             else self.network
         )
-        if batch_announcements:
-            # coalesce the announcement fan-out: one envelope per
-            # (src, dst) pair per virtual instant (see BatchingChannel)
-            self.channel = BatchingChannel(self.channel, self.sim)
         if self.faults is not None:
             self.faults.on_crash(self._crash_site)
             # restart order matters: sessions first, then the actors'
@@ -283,14 +275,10 @@ class DistributedScheduler:
                 self._subscribers.setdefault(base, []).append(event)
         #: watched-literal wake index: an announcement only wakes the
         #: actors whose residual (or armed protocol state) can react;
-        #: the rest take the learn-only skip path.  ``watch_mode=False``
-        #: is the naive reference engine the differential harness
-        #: compares against.
-        self.watch_mode = watch_mode
+        #: the rest take the learn-only skip path
         self.watch = WatchIndex()
-        if self.watch_mode:
-            for actor in self.actors.values():
-                self._rewatch(actor)
+        for actor in self.actors.values():
+            self._rewatch(actor)
         # per-site requirement monitors for triggerable events
         self._monitors: list[tuple[str, RequirementMonitor]] = []
         self._monitor_subs: dict[Event, list[int]] = {}
@@ -430,19 +418,11 @@ class DistributedScheduler:
         engine.  Over-wide entries are always safe (a woken actor runs
         exactly the naive path), so staleness between hooks can only
         cost a wake, never correctness."""
-        if not self.watch_mode:
-            return
         if actor.pending_grant_reqs or actor.solicit_would_act():
             self.watch.register(actor.event, ALL)
-            return
-        if actor.cursor is not None:
-            # composed engines: the wake set is a cached slot on the
-            # actor's current automaton node, not a recomputation
+        else:
+            # a cached slot on the actor's current automaton node
             self.watch.register(actor.event, actor.cursor.watches())
-            return
-        self.watch.register(
-            actor.event, watch_bases(actor.guard, actor.knowledge)
-        )
 
     def _rewatch_base(self, base: Event) -> None:
         """Refresh both polarity actors of ``base``."""
@@ -453,9 +433,7 @@ class DistributedScheduler:
 
     def _dispatch(self, actor: EventActor, message) -> None:
         if isinstance(message, Announce):
-            if self.watch_mode and not self.watch.should_wake(
-                actor.event, message.event.base
-            ):
+            if not self.watch.should_wake(actor.event, message.event.base):
                 # the watched-literal skip: record the fact, touch
                 # nothing else -- the index proved re-evaluation would
                 # be a no-op (and the learn cannot invalidate any
@@ -1030,10 +1008,9 @@ class DistributedScheduler:
         report["kernel"]["watch"] = dict(
             report["kernel"]["watch"], **self.watch.counts()
         )
-        if self.compiled is not None:
-            report["kernel"]["compiled"] = dict(
-                report["kernel"]["compiled"], **self.compiled.counts()
-            )
+        report["kernel"]["compiled"] = dict(
+            report["kernel"]["compiled"], **self.guard_engine.counts()
+        )
         if self.timeseries is not None:
             report["timeseries"] = self.timeseries.as_dict()
         if self.faults is not None:
@@ -1109,18 +1086,6 @@ class DistributedScheduler:
                 if m_site == site
             ],
         }
-
-    def _set_delivery_hook(self, hook) -> None:
-        """Install (or clear) the snapshot coordinator's channel hook
-        on the transport that performs application delivery.
-
-        A :class:`BatchingChannel` proxies attribute *reads* to its
-        inner channel but takes attribute writes itself, so the hook
-        must land on the unwrapped transport."""
-        channel = self.channel
-        if isinstance(channel, BatchingChannel):
-            channel = channel.inner
-        channel.delivery_hook = hook
 
     def snapshot(self, wait: bool = True) -> Snapshot | None:
         """Take a consistent global snapshot now.
@@ -1206,11 +1171,8 @@ class DistributedScheduler:
 
     def _session_backlog(self) -> int:
         """Unacknowledged session-layer payloads (0 on a raw channel)."""
-        channel = self.channel
-        if isinstance(channel, BatchingChannel):
-            channel = channel.inner
-        if isinstance(channel, ReliableNetwork):
-            return channel.in_flight()
+        if isinstance(self.channel, ReliableNetwork):
+            return self.channel.in_flight()
         return 0
 
     def _sample(self, t: float) -> None:

@@ -32,14 +32,18 @@ pointer:
   or dead event compiles to the constant-false node whose verdict is
   permanently ``never`` (surfaced as a warning by ``repro analyze``).
 
-Byte-for-byte equivalence with the cube engine is by construction:
-the node's residual component *is* the actor's residual (the intern
-key includes it, so iterated vs one-shot simplification cannot
-diverge), and every cached value is defined as the result of the very
-cube-engine call it replaces.  The differential harness
-(``tests/properties/test_compiled_equivalence.py``) enforces identical
-traces under fuzzed faults, resurrection, and runtime guard growth
-(handled by :meth:`GuardCursor.reset` -- an incremental recompile that
+This is the scheduler's only runtime guard engine.  The cube calls
+stay the *specification*: byte-for-byte equivalence with them is by
+construction -- the node's residual component *is* the actor's
+residual (the intern key includes it, so iterated vs one-shot
+simplification cannot diverge), and every cached value is defined as
+the result of the very cube call it replaces.  The differential
+harnesses (``tests/properties/test_compiled_equivalence.py`` and
+``test_watch_equivalence.py``) run the scheduler on this engine
+against a test-only reference engine that makes those cube calls
+directly and wakes on every announcement, and enforce identical traces
+under fuzzed faults, resurrection, and runtime guard growth (handled
+by :meth:`GuardCursor.reset` -- an incremental recompile that
 re-enters the interned node space at the new guard).
 
 Instances of a :class:`~repro.workflows.template.WorkflowTemplate`
@@ -330,7 +334,7 @@ class CompiledGuardEngine:
     :data:`DEFAULT_ENGINE` for template/analysis compilation)."""
 
     def __init__(self) -> None:
-        self._nodes: dict[tuple[GuardExpr, Know], GuardNode] = {}
+        self._nodes: dict[GuardExpr | tuple[GuardExpr, Know], GuardNode] = {}
         self._reset_counts()
 
     def _reset_counts(self) -> None:
@@ -342,7 +346,10 @@ class CompiledGuardEngine:
         self.recompiles = 0
 
     def _node(self, residual: GuardExpr, know: Know) -> GuardNode:
-        key = (residual, know)
+        # a knowledge-free state keys on the guard itself: most states
+        # are, and a (guard, ()) key would be one more garbage-collected
+        # tuple per node for every full collection to traverse
+        key = (residual, know) if know else residual
         node = self._nodes.get(key)
         if node is None:
             node = GuardNode(self, residual, know)

@@ -1,12 +1,13 @@
 """Watched-literal wake index for the cube algebra.
 
-The naive scheduler re-evaluates every parked guard on every
+A naive scheduler re-evaluates every parked guard on every
 announcement: each delivery runs ``simplify_under`` + the region
 checks even when the announced base cannot possibly change the guard's
-verdict.  This module supplies the *wake index* that lets a scheduler
-skip those deliveries: each guard actor registers the set of bases
-whose settlement can still affect it (its *watch literals*), and an
-announcement only wakes the actors watching the announced base.
+verdict.  (The differential harness keeps exactly that engine as its
+test-only reference.)  This module supplies the *wake index* that lets
+a scheduler skip those deliveries: each guard actor registers the set
+of bases whose settlement can still affect it (its *watch literals*),
+and an announcement only wakes the actors watching the announced base.
 
 SAT solvers watch **two** literals per clause because clause semantics
 only need "is some literal still free".  The cube algebra cannot watch
@@ -52,19 +53,6 @@ from .cubes import FULL, GuardExpr, closure
 #: Sentinel wake-set: the actor must be woken by every announcement.
 ALL = None
 
-#: Memo tables keyed on interned identity (hash-consed guards and
-#: literal tuples) plus the knowledge masks *restricted to the bases
-#: the key mentions* -- the only knowledge either function reads, so
-#: the restriction is exact, and the key build is O(guard), not O(|K|).
-#: At high fan-in the same (guard, masks) pair recurs once per
-#: registration; these tables collapse that to one computation.
-_CUBE_WATCH_CACHE: dict = {}
-_WATCH_BASES_CACHE: dict = {}
-_WATCH_MEMO_LIMIT = 65536
-
-#: distinguishes "cached ALL" (None) from "not cached" in the memo.
-_UNSET = object()
-
 
 def cube_watches(
     cube: Iterable[tuple[Event, int]], knowledge: Mapping[Event, int]
@@ -77,16 +65,8 @@ def cube_watches(
     simplifies to 0); either way no future announcement on that base
     changes the cube, so it needs no watch.  An undecided literal can
     still flip, so its base is watched.  Mirrors ``simplify_under``'s
-    keep rule exactly.  Memoized on the cube's interned identity and
-    the masks of its own bases (hit/miss in :func:`watch_stats`).
+    keep rule exactly.
     """
-    cube = tuple(cube)
-    key = (cube, tuple(knowledge.get(base) for base, _ in cube))
-    cached = _CUBE_WATCH_CACHE.get(key)
-    if cached is not None:
-        _WatchStats.memo_hits += 1
-        return cached
-    _WatchStats.memo_misses += 1
     watches: set[Event] = set()
     for base, mask in cube:
         known = knowledge.get(base)
@@ -97,11 +77,7 @@ def cube_watches(
         hit = reach & mask
         if hit != 0 and hit != reach:
             watches.add(base)
-    result = frozenset(watches)
-    if len(_CUBE_WATCH_CACHE) >= _WATCH_MEMO_LIMIT:
-        _CUBE_WATCH_CACHE.clear()
-    _CUBE_WATCH_CACHE[key] = result
-    return result
+    return frozenset(watches)
 
 
 def is_reduced(guard: GuardExpr, knowledge: Mapping[Event, int]) -> bool:
@@ -138,22 +114,10 @@ def watch_bases(
     the residual still mentions); an unreduced guard returns
     :data:`ALL` -- the naive engine would rewrite it on the next
     assimilation whatever the base, so skipping anything would let the
-    residuals diverge.
+    residuals diverge.  Computed once per compiled guard node
+    (:meth:`repro.temporal.compiled.GuardNode.watches` caches it).
     """
-    key = (
-        guard,
-        tuple(knowledge.get(base) for base in guard._sorted_bases()),
-    )
-    cached = _WATCH_BASES_CACHE.get(key, _UNSET)
-    if cached is not _UNSET:
-        _WatchStats.memo_hits += 1
-        return cached
-    _WatchStats.memo_misses += 1
-    result = ALL if not is_reduced(guard, knowledge) else guard.bases()
-    if len(_WATCH_BASES_CACHE) >= _WATCH_MEMO_LIMIT:
-        _WATCH_BASES_CACHE.clear()
-    _WATCH_BASES_CACHE[key] = result
-    return result
+    return guard.bases() if is_reduced(guard, knowledge) else ALL
 
 
 class _WatchStats:
@@ -162,8 +126,6 @@ class _WatchStats:
     wakes = 0
     skips = 0
     rewatches = 0
-    memo_hits = 0
-    memo_misses = 0
 
 
 def watch_stats() -> dict:
@@ -173,8 +135,6 @@ def watch_stats() -> dict:
         "wakes": _WatchStats.wakes,
         "skips": _WatchStats.skips,
         "rewatches": _WatchStats.rewatches,
-        "memo_hits": _WatchStats.memo_hits,
-        "memo_misses": _WatchStats.memo_misses,
     }
 
 
@@ -182,20 +142,16 @@ def clear_watch_stats() -> None:
     _WatchStats.wakes = 0
     _WatchStats.skips = 0
     _WatchStats.rewatches = 0
-    _WatchStats.memo_hits = 0
-    _WatchStats.memo_misses = 0
-    _CUBE_WATCH_CACHE.clear()
-    _WATCH_BASES_CACHE.clear()
 
 
 class WatchIndex:
-    """Bidirectional literal -> watchers index for one scheduler.
+    """The wake index of one scheduler: each actor's watch literals.
 
     ``_watching`` maps each registered actor (by its signed event) to
-    its wake set (a frozenset of bases, or :data:`ALL`); ``_watchers``
-    is the inverted map consulted for introspection and tests.  The
-    hot-path question -- "does this announcement wake this actor?" --
-    is answered from the forward map in O(1).
+    its wake set (a frozenset of bases, or :data:`ALL`).  The hot-path
+    question -- "does this announcement wake this actor?" -- is one
+    probe of that map; the inverse question (:meth:`watchers`) is
+    introspection only, answered by a scan.
 
     Unknown actors wake on everything: registration gaps degrade to
     the naive engine, never to a missed wake.
@@ -203,8 +159,6 @@ class WatchIndex:
 
     def __init__(self) -> None:
         self._watching: dict[Event, frozenset[Event] | None] = {}
-        self._watchers: dict[Event, set[Event]] = {}
-        self._all: set[Event] = set()
         self.wakes = 0
         self.skips = 0
         self.rewatches = 0
@@ -215,37 +169,15 @@ class WatchIndex:
         self, watcher: Event, bases: frozenset[Event] | None
     ) -> None:
         """Install (or refresh) ``watcher``'s wake set."""
-        old = self._watching.get(watcher, ALL)
-        if watcher in self._watching and old == bases:
-            return
         if watcher in self._watching:
+            if self._watching[watcher] == bases:
+                return
             self.rewatches += 1
             _WatchStats.rewatches += 1
-            self._drop_reverse(watcher, old)
         self._watching[watcher] = bases
-        if bases is ALL:
-            self._all.add(watcher)
-        else:
-            for base in bases:
-                self._watchers.setdefault(base, set()).add(watcher)
 
     def unregister(self, watcher: Event) -> None:
-        if watcher not in self._watching:
-            return
-        self._drop_reverse(watcher, self._watching.pop(watcher))
-
-    def _drop_reverse(
-        self, watcher: Event, bases: frozenset[Event] | None
-    ) -> None:
-        if bases is ALL:
-            self._all.discard(watcher)
-            return
-        for base in bases:
-            bucket = self._watchers.get(base)
-            if bucket is not None:
-                bucket.discard(watcher)
-                if not bucket:
-                    del self._watchers[base]
+        self._watching.pop(watcher, None)
 
     # -- queries -------------------------------------------------------
 
@@ -260,7 +192,11 @@ class WatchIndex:
 
     def watchers(self, base: Event) -> frozenset[Event]:
         """Every registered actor an announcement on ``base`` wakes."""
-        return frozenset(self._watchers.get(base, ())) | frozenset(self._all)
+        return frozenset(
+            watcher
+            for watcher, bases in self._watching.items()
+            if bases is ALL or base in bases
+        )
 
     def __len__(self) -> int:
         return len(self._watching)

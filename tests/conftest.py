@@ -33,6 +33,8 @@ KERNEL_STATS_KEYS = {
     "interning", "synthesis", "simplify", "watch", "compiled", "memo"
 }
 WATCH_STATS_KEYS = {"wakes", "skips", "rewatches"}
+#: scheduler-local watch counters ``metrics_report`` overlays
+WATCH_INDEX_KEYS = {"registered"}
 COMPILED_STATS_KEYS = {
     "nodes", "reused", "edges", "hops", "expansions", "cursors", "recompiles"
 }
@@ -43,13 +45,16 @@ def assert_kernel_schema(stats):
     section of ``metrics_report()``), asserted in one place so a new
     kernel subsystem updates every consumer test at once.
 
-    Accepts supersets per section (``metrics_report`` overlays
-    scheduler-local counters such as ``registered`` onto the
-    process-wide watch totals); missing keys are the failure mode
-    this guards against."""
+    Accepts supersets per section, except the watch section, whose
+    keys are exactly the process-wide counters plus, in
+    ``metrics_report``, the scheduler-local ``registered`` overlay;
+    missing keys are the failure mode this guards against."""
     assert KERNEL_STATS_KEYS <= set(stats), sorted(stats)
     assert {"exprs", "events"} <= set(stats["interning"])
     assert WATCH_STATS_KEYS <= set(stats["watch"]), sorted(stats["watch"])
+    assert set(stats["watch"]) <= WATCH_STATS_KEYS | WATCH_INDEX_KEYS, sorted(
+        stats["watch"]
+    )
     for counter in WATCH_STATS_KEYS:
         assert isinstance(stats["watch"][counter], int)
     assert COMPILED_STATS_KEYS <= set(stats["compiled"]), sorted(

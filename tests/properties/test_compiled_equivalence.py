@@ -1,15 +1,16 @@
 """The compiled guard automata are an optimization, not a semantics
 change.
 
-A ``DistributedScheduler`` with ``compiled_guards=True`` evaluates
-each actor's guard by following interned decision-diagram edges
-instead of re-simplifying the cube DNF.  The compiled engine is
-receiver-side only -- fan-out, message streams, and rng draws are
-untouched -- so it must stay in lock-step with the cube engine under
-**any** fault schedule: drops, duplicates, crash/restart plans,
-Example 14 resurrection, and run-time guard growth (incremental
-recompile).  The differential harness here runs the full four-way
-ablation (cube / watch / compiled / watch+compiled) over fuzzed
+A ``DistributedScheduler`` evaluates each actor's guard by following
+interned decision-diagram edges instead of re-simplifying the cube
+DNF.  The engine is receiver-side only -- fan-out, message streams,
+and rng draws are untouched -- so it must stay in lock-step with the
+cube specification under **any** fault schedule: drops, duplicates,
+crash/restart plans, Example 14 resurrection, and run-time guard
+growth (incremental recompile).  The differential harness here runs
+the runtime engine and three test-only arms (:mod:`.reference_engine`:
+the naive cube reference, the cube reference with the watch index,
+and the runtime automata with the watch index off) over fuzzed
 workflows with identical fault schedules and asserts byte-identical
 timelines, final actor states, and causal traces (``diff_traces``
 already ignores the volatile wall-clock fields).
@@ -37,6 +38,7 @@ from repro.temporal.cubes import FULL, literal
 from repro.temporal.watch import watch_bases
 from repro.workloads.scenarios import make_travel_booking
 
+from .reference_engine import ReferenceEngine, UnwatchedEngine
 from .test_chaos_properties import fault_schedules, scenario_sites
 from .test_watch_equivalence import (
     SCENARIOS,
@@ -44,18 +46,18 @@ from .test_watch_equivalence import (
     observables,
 )
 
-#: the four ablation arms as (watch_mode, compiled_guards)
+#: guard-engine factories: the runtime engine (``None`` -- the
+#: scheduler's default) and the test-only arms it must match
 ARMS = {
-    "cube": (False, False),
-    "watch": (True, False),
-    "compiled": (False, True),
-    "watch+compiled": (True, True),
+    "cube": ReferenceEngine,
+    "watch": lambda: ReferenceEngine(watching=True),
+    "compiled": UnwatchedEngine,
+    "engine": lambda: None,
 }
 
 
 def run_arm(scenario, plan, seed, arm, drop=0.0, dup=0.0, tracer=None):
-    """One deterministic run of one ablation arm."""
-    watch, compiled = ARMS[arm]
+    """One deterministic run of one arm."""
     sched = DistributedScheduler(
         scenario.workflow.dependencies,
         sites=scenario.workflow.sites,
@@ -66,8 +68,7 @@ def run_arm(scenario, plan, seed, arm, drop=0.0, dup=0.0, tracer=None):
         duplicate_probability=dup,
         reliable=True,
         fault_plan=plan,
-        watch_mode=watch,
-        compiled_guards=compiled,
+        guard_engine=ARMS[arm](),
         tracer=tracer,
     )
     result = sched.run(scenario.scripts, verify=False)
@@ -75,7 +76,7 @@ def run_arm(scenario, plan, seed, arm, drop=0.0, dup=0.0, tracer=None):
 
 
 def assert_arms_equivalent(scenario, plan, seed, drop=0.0, dup=0.0):
-    """Run all four arms; every one must match the cube reference."""
+    """Run every arm; each must match the naive cube reference."""
     tracers = {arm: Tracer() for arm in ARMS}
     runs = {
         arm: run_arm(scenario, plan, seed, arm, drop=drop, dup=dup,
@@ -118,7 +119,7 @@ def compiled_cases(draw):
 
 
 class TestCompiledEquivalence:
-    """four-way ablation == cube engine on Examples 10-13 under
+    """runtime engine == every reference arm on Examples 10-13 under
     fuzzed faults."""
 
     @settings(max_examples=60, deadline=None)
@@ -130,15 +131,15 @@ class TestCompiledEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(sorted(SCENARIOS)), st.integers(0, 2**16))
     def test_traces_are_byte_identical(self, name, seed):
-        """Same watch mode, cube vs compiled: the causal traces must
+        """Same wake sets, cube vs automata: the causal traces must
         agree record for record -- including the guard-evaluation
         records, whose verdict/residual/knowledge payloads the
-        compiled engine reproduces exactly (``diff_traces`` ignores
+        compiled automata reproduce exactly (``diff_traces`` ignores
         only the volatile wall-clock fields)."""
         scenario = SCENARIOS[name]()
         for cube_arm, compiled_arm in (
             ("cube", "compiled"),
-            ("watch", "watch+compiled"),
+            ("watch", "engine"),
         ):
             a, b = Tracer(), Tracer()
             run_arm(scenario, None, seed, cube_arm, tracer=a)
@@ -156,18 +157,16 @@ class TestCompiledEquivalence:
         hops = 0
         for factory in SCENARIOS.values():
             runs = assert_arms_equivalent(factory(), None, 0)
-            counts = runs["compiled"][0].compiled.counts()
+            counts = runs["engine"][0].guard_engine.counts()
             hops += counts["hops"] + counts["reused"]
             assert counts["cursors"] > 0
         assert hops > 0
 
     def test_counters_surface_in_metrics_report(self, kernel_schema):
-        sched, _ = run_arm(
-            make_travel_booking("success"), None, 0, "watch+compiled"
-        )
+        sched, _ = run_arm(make_travel_booking("success"), None, 0, "engine")
         kernel = sched.metrics_report()["kernel"]
         kernel_schema(kernel)
-        assert kernel["compiled"]["nodes"] == len(sched.compiled)
+        assert kernel["compiled"]["nodes"] == len(sched.guard_engine)
         assert kernel["compiled"]["cursors"] == len(sched.actors)
 
 
@@ -177,13 +176,11 @@ class TestCompiledRuntimeGrowth:
     DEP = "~ship + pay . ship"
 
     def _grow_run(self, arm, extra):
-        watch, compiled = ARMS[arm]
         sched = DistributedScheduler(
             [parse(self.DEP)],
             latency=ConstantLatency(1.0),
             rng=random.Random(5),
-            watch_mode=watch,
-            compiled_guards=compiled,
+            guard_engine=ARMS[arm](),
         )
         pay, ship = Event("pay"), Event("ship")
         sched.attempt(ship)  # parks: pay has not settled
@@ -200,23 +197,21 @@ class TestCompiledRuntimeGrowth:
     def test_added_dependency_equivalence(self):
         for extra in (False, True):
             ref_sched, ref = self._grow_run("cube", extra)
-            for arm in ("compiled", "watch+compiled"):
+            for arm in ("compiled", "engine"):
                 sched, result = self._grow_run(arm, extra)
                 assert observables(result) == observables(ref), arm
                 assert final_state(sched) == final_state(ref_sched), arm
                 if extra:
                     # strengthen_guard re-entered the automaton
-                    assert sched.compiled.counts()["recompiles"] > 0
+                    assert sched.guard_engine.counts()["recompiles"] > 0
 
     def test_removed_dependency_equivalence(self):
         def run(arm):
-            watch, compiled = ARMS[arm]
             sched = DistributedScheduler(
                 [parse(self.DEP)],
                 latency=ConstantLatency(1.0),
                 rng=random.Random(5),
-                watch_mode=watch,
-                compiled_guards=compiled,
+                guard_engine=ARMS[arm](),
             )
             sched.attempt(Event("ship"))  # parks behind pay
             sched.sim.run()
@@ -224,7 +219,7 @@ class TestCompiledRuntimeGrowth:
             return sched, sched.run(settle=True, verify=False)
 
         ref_sched, ref = run("cube")
-        for arm in ("compiled", "watch+compiled"):
+        for arm in ("compiled", "engine"):
             sched, result = run(arm)
             assert observables(result) == observables(ref), arm
             assert final_state(sched) == final_state(ref_sched), arm
@@ -243,9 +238,8 @@ class TestResurrectionEquivalence:
     ]
 
     def _run(self, tokens, arm):
-        watch, compiled = ARMS[arm]
         runner = DistributedParamRunner(
-            self.TEMPLATES, watch_mode=watch, compiled_guards=compiled
+            self.TEMPLATES, guard_engine=ARMS[arm]()
         )
         for name, value in tokens:
             runner.attempt(Event(name, params=(value,)))
@@ -266,7 +260,7 @@ class TestResurrectionEquivalence:
     )
     def test_token_sequences_are_observably_identical(self, tokens):
         ref_sched, ref = self._run(tokens, "cube")
-        for arm in ("compiled", "watch+compiled"):
+        for arm in ("compiled", "engine"):
             sched, result = self._run(tokens, arm)
             assert observables(result) == observables(ref), arm
             assert final_state(sched) == final_state(ref_sched), arm

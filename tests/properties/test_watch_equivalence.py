@@ -1,17 +1,19 @@
-"""The watched-literal guard engine is an optimization, not a
+"""The watched-literal wake index is an optimization, not a
 semantics change.
 
-A ``DistributedScheduler`` with ``watch_mode=True`` indexes each
-parked guard by the event bases that can still move it and skips
-re-evaluating guards an announcement cannot affect.  Because the skip
-happens on the *receiver* -- fan-out, message streams, and rng draws
-are untouched -- the watched and naive engines must stay in lock-step
-under **any** fault schedule: drops, duplicates, crash/restart plans,
-Example 14 resurrection, and run-time guard-table growth.  The
-differential harness here runs fuzzed workflows under both engines
-with identical fault schedules and asserts byte-identical timelines,
-final actor states, and (modulo the guard-evaluation records the
-naive engine emits extra) causal traces.
+A ``DistributedScheduler`` indexes each parked guard by the event
+bases that can still move it and skips re-evaluating guards an
+announcement cannot affect.  Because the skip happens on the
+*receiver* -- fan-out, message streams, and rng draws are untouched --
+the scheduler's guard engine must stay in lock-step with the naive
+test-only reference (:mod:`.reference_engine`, which wakes every
+actor on every announcement) under **any** fault schedule: drops,
+duplicates, crash/restart plans, Example 14 resurrection, and
+run-time guard-table growth.  The differential harness here runs
+fuzzed workflows under both engines with identical fault schedules
+and asserts byte-identical timelines, final actor states, and (modulo
+the guard-evaluation records the naive engine emits extra) causal
+traces.
 
 The centralized :class:`ResiduationScheduler` gets the same
 treatment: component-factored scan skipping must decide exactly what
@@ -39,6 +41,7 @@ from repro.workloads.scenarios import (
     make_travel_booking,
 )
 
+from .reference_engine import ReferenceEngine
 from .test_chaos_properties import fault_schedules, scenario_sites
 
 
@@ -63,12 +66,18 @@ SCENARIOS = {
 }
 
 
-def run_engine(scenario, plan, seed, watch, drop=0.0, dup=0.0, tracer=None):
+def engine(naive):
+    """The naive reference engine, or ``None`` for the scheduler's
+    own (watched, compiled) guard engine."""
+    return ReferenceEngine() if naive else None
+
+
+def run_engine(scenario, plan, seed, naive, drop=0.0, dup=0.0, tracer=None):
     """One deterministic run of either engine.
 
-    Receiver-side skipping leaves fan-out intact, so -- unlike the
-    PR 3 batching comparison -- drops and duplicates are fair game:
-    both engines draw the same dice for the same sends."""
+    Receiver-side skipping leaves fan-out intact, so drops and
+    duplicates are fair game: both engines draw the same dice for the
+    same sends."""
     sched = DistributedScheduler(
         scenario.workflow.dependencies,
         sites=scenario.workflow.sites,
@@ -79,7 +88,7 @@ def run_engine(scenario, plan, seed, watch, drop=0.0, dup=0.0, tracer=None):
         duplicate_probability=dup,
         reliable=True,
         fault_plan=plan,
-        watch_mode=watch,
+        guard_engine=engine(naive),
         tracer=tracer,
     )
     result = sched.run(scenario.scripts, verify=False)
@@ -116,9 +125,9 @@ def final_state(sched):
 
 def assert_equivalent(scenario, plan, seed, drop=0.0, dup=0.0):
     naive_tr, watch_tr = Tracer(), Tracer()
-    naive_sched, naive = run_engine(scenario, plan, seed, watch=False,
+    naive_sched, naive = run_engine(scenario, plan, seed, naive=True,
                                     drop=drop, dup=dup, tracer=naive_tr)
-    watch_sched, watched = run_engine(scenario, plan, seed, watch=True,
+    watch_sched, watched = run_engine(scenario, plan, seed, naive=False,
                                       drop=drop, dup=dup, tracer=watch_tr)
     if observables(watched) != observables(naive):
         # localize before failing: diff the causal traces (minus the
@@ -171,8 +180,8 @@ class TestWatchedEquivalence:
         the projection drops those two fields and nothing else."""
         scenario = SCENARIOS[name]()
         naive_tr, watch_tr = Tracer(), Tracer()
-        run_engine(scenario, None, seed, watch=False, tracer=naive_tr)
-        run_engine(scenario, None, seed, watch=True, tracer=watch_tr)
+        run_engine(scenario, None, seed, naive=True, tracer=naive_tr)
+        run_engine(scenario, None, seed, naive=False, tracer=watch_tr)
 
         def project(records):
             return [
@@ -195,7 +204,7 @@ class TestWatchedEquivalence:
         assert total > 0
 
     def test_counters_surface_in_metrics_report(self, kernel_schema):
-        sched, _ = run_engine(make_travel_booking("success"), None, 0, True)
+        sched, _ = run_engine(make_travel_booking("success"), None, 0, False)
         kernel = sched.metrics_report()["kernel"]
         kernel_schema(kernel)
         assert kernel["watch"]["registered"] == len(sched.watch)
@@ -206,12 +215,12 @@ class TestWatchedRuntimeGrowth:
 
     DEP = "~ship + pay . ship"
 
-    def _grow_run(self, watch, extra):
+    def _grow_run(self, naive, extra):
         sched = DistributedScheduler(
             [parse(self.DEP)],
             latency=ConstantLatency(1.0),
             rng=random.Random(5),
-            watch_mode=watch,
+            guard_engine=engine(naive),
         )
         pay, ship = Event("pay"), Event("ship")
         sched.attempt(ship)  # parks: pay has not settled
@@ -227,26 +236,26 @@ class TestWatchedRuntimeGrowth:
 
     def test_added_dependency_equivalence(self):
         for extra in (False, True):
-            naive_sched, naive = self._grow_run(False, extra)
-            watch_sched, watched = self._grow_run(True, extra)
+            naive_sched, naive = self._grow_run(True, extra)
+            watch_sched, watched = self._grow_run(False, extra)
             assert observables(watched) == observables(naive)
             assert final_state(watch_sched) == final_state(naive_sched)
 
     def test_removed_dependency_equivalence(self):
-        def run(watch):
+        def run(naive):
             sched = DistributedScheduler(
                 [parse(self.DEP)],
                 latency=ConstantLatency(1.0),
                 rng=random.Random(5),
-                watch_mode=watch,
+                guard_engine=engine(naive),
             )
             sched.attempt(Event("ship"))  # parks behind pay
             sched.sim.run()
             assert sched.remove_dependency_runtime(parse(self.DEP))
             return sched, sched.run(settle=True, verify=False)
 
-        naive_sched, naive = run(False)
-        watch_sched, watched = run(True)
+        naive_sched, naive = run(True)
+        watch_sched, watched = run(False)
         assert observables(watched) == observables(naive)
         assert final_state(watch_sched) == final_state(naive_sched)
 
@@ -262,8 +271,10 @@ class TestResurrectionEquivalence:
         "~b2[y] + e2[y]",
     ]
 
-    def _run(self, tokens, watch):
-        runner = DistributedParamRunner(self.TEMPLATES, watch_mode=watch)
+    def _run(self, tokens, naive):
+        runner = DistributedParamRunner(
+            self.TEMPLATES, guard_engine=engine(naive)
+        )
         for name, value in tokens:
             runner.attempt(Event(name, params=(value,)))
         result = runner.finish(verify=False)
@@ -282,8 +293,8 @@ class TestResurrectionEquivalence:
         )
     )
     def test_token_sequences_are_observably_identical(self, tokens):
-        naive_sched, naive = self._run(tokens, watch=False)
-        watch_sched, watched = self._run(tokens, watch=True)
+        naive_sched, naive = self._run(tokens, naive=True)
+        watch_sched, watched = self._run(tokens, naive=False)
         assert observables(watched) == observables(naive)
         assert final_state(watch_sched) == final_state(naive_sched)
 

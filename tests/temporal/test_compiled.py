@@ -5,8 +5,14 @@ The scheduler-level equivalence lives in
 ``tests/properties/test_compiled_equivalence.py``; here we pin the
 node/edge mechanics: interning, the learn/refine/assimilate
 transitions, lazy caching, counter accounting, the compile-time
-table statistics, and the template stamping hook.
+table statistics, the template stamping hook, and the watch-set
+invariant the scheduler's cursor-free skip path rests on.
 """
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.symbols import Event
 from repro.temporal.compiled import (
@@ -27,7 +33,7 @@ from repro.temporal.cubes import (
     TRUE_GUARD,
     literal,
 )
-from repro.temporal.watch import watch_bases
+from repro.temporal.watch import ALL, watch_bases
 
 A, B, C = Event("a"), Event("b"), Event("c")
 
@@ -224,7 +230,7 @@ class TestSharedEngine:
                 guards={e: literal("box", f), f: TRUE_GUARD},
                 latency=ConstantLatency(1.0),
                 rng=random.Random(0),
-                compiled_guards=engine,
+                guard_engine=engine,
             )
             sched.attempt(f)
             sched.attempt(e)
@@ -232,7 +238,7 @@ class TestSharedEngine:
             return sched
 
         first = run()
-        assert first.compiled is engine
+        assert first.guard_engine is engine
         nodes_after_first = len(engine)
         reused_after_first = engine.counts()["reused"]
         second = run()
@@ -281,3 +287,106 @@ class TestTemplateStamping:
             assert len(DEFAULT_ENGINE) >= len(set(roots.values()))
         finally:
             clear_compiled()
+
+
+# ----------------------------------------------------------------------
+# the watch-set invariant behind the scheduler's skip path
+
+
+POOL = [Event(f"w{i}") for i in range(4)]
+SIGNED_POOL = POOL + [e.complement for e in POOL]
+
+
+@st.composite
+def guards(draw):
+    """Random cube-DNF guards over a small base pool."""
+    g = FALSE_GUARD
+    for _ in range(draw(st.integers(1, 3))):
+        cube = TRUE_GUARD
+        for _ in range(draw(st.integers(1, 3))):
+            cube = cube & literal(
+                draw(st.sampled_from(["box", "dia", "notyet"])),
+                draw(st.sampled_from(SIGNED_POOL)),
+            )
+        g = g | cube
+    return g
+
+
+#: a fuzzed walk: (base, arriving mask, assimilate afterwards?)
+walks = st.lists(
+    st.tuples(st.sampled_from(POOL), st.integers(1, FULL), st.booleans()),
+    max_size=10,
+)
+
+
+def assert_skip_is_a_self_loop(engine, bases):
+    """Every node ``engine`` has interned watches either everything or
+    exactly its residual's bases, and learning any fact on a base of
+    ``bases`` outside that set leaves the node where it is -- so a
+    skipped announcement need not touch the cursor at all."""
+    for node in list(engine._nodes.values()):
+        watched = node.watches()
+        if watched is ALL:
+            continue
+        assert watched == node.residual.bases(), node
+        for base in bases:
+            if base in watched:
+                continue
+            for mask in range(1, FULL + 1):
+                assert node.learn(base, mask) is node, (node, base, mask)
+
+
+class TestSkipInvariant:
+    @settings(max_examples=150, deadline=None)
+    @given(guards(), walks)
+    def test_every_walked_node_skips_as_a_self_loop(self, guard, walk):
+        engine = CompiledGuardEngine()
+        cursor = engine.cursor(guard)
+        knowledge: dict[Event, int] = {}
+        for base, mask, assimilate in walk:
+            updated = knowledge.get(base, FULL) & mask
+            if updated != knowledge.get(base, FULL):
+                knowledge[base] = updated
+                cursor.learn(base, updated)
+            if assimilate:
+                cursor.assimilate()
+            cursor.verdict()
+        assert_skip_is_a_self_loop(engine, POOL)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["success", "failure", "t1", "t2"]),
+        st.sampled_from([0.0, 0.3]),
+        st.integers(0, 2**16),
+    )
+    def test_every_node_of_a_fuzzed_run_skips_as_a_self_loop(
+        self, case, lossy, seed
+    ):
+        from repro.scheduler.guard_scheduler import DistributedScheduler
+        from repro.workloads.scenarios import (
+            make_mutex_scenario,
+            make_travel_booking,
+        )
+
+        scenario = (
+            make_travel_booking(case)
+            if case in ("success", "failure")
+            else make_mutex_scenario(case)
+        )
+        engine = CompiledGuardEngine()
+        sched = DistributedScheduler(
+            scenario.workflow.dependencies,
+            sites=scenario.workflow.sites,
+            attributes=scenario.workflow.attributes,
+            rng=random.Random(seed),
+            drop_probability=lossy,
+            duplicate_probability=lossy,
+            reliable=True,
+            guard_engine=engine,
+        )
+        sched.run(scenario.scripts, verify=False)
+        assert len(engine) > 0
+        bases = {
+            b for dep in scenario.workflow.dependencies for b in dep.bases()
+        }
+        assert_skip_is_a_self_loop(engine, bases)

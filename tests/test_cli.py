@@ -113,31 +113,6 @@ class TestRun:
         assert code == 0
         assert "ok=True" in capsys.readouterr().out
 
-    def test_compiled_guards_run(self, spec_file, capsys):
-        code = main(
-            [
-                "run", spec_file,
-                "--attempt", "e=0",
-                "--scheduler", "distributed",
-                "--compiled-guards",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "ok=True" in out
-
-    def test_compiled_guards_needs_distributed(self, spec_file, capsys):
-        code = main(
-            [
-                "run", spec_file,
-                "--attempt", "e=0",
-                "--scheduler", "centralized",
-                "--compiled-guards",
-            ]
-        )
-        assert code == 2
-        assert "--scheduler distributed" in capsys.readouterr().err
-
     def test_bad_attempt_syntax(self, spec_file, capsys):
         assert main(["run", spec_file, "--attempt", "e"]) == 2
         assert "bad --attempt" in capsys.readouterr().err
